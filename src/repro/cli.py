@@ -400,89 +400,16 @@ def _cmd_adversary(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _cmd_shard_parallel(args: argparse.Namespace) -> None:
-    """``repro shard --jobs N``: same run, groups across N processes.
+def _run_shard_serial(args, experiment, shard):
+    """Run ``repro shard`` on one shared simulator.
 
-    Byte-identical readouts to the serial path (same table, aggregate
-    line, metrics JSON and audit verdict) — diffing the two outputs is
-    the cheapest end-to-end determinism check, and CI does exactly that.
+    Returns ``(engine, groups, merged_latency)`` where each group row is
+    ``(shard_id, clients, tps, mean_latency, misrouted_ops, audit_report)``.
     """
-    from repro.des.parallel import ParallelShardedCluster
-    from repro.harness.metrics import LatencyRecorder
-    from repro.harness.scenarios import _experiment, _token_weight
-    from repro.shard import ShardConfig
-
-    shard = ShardConfig(shards=args.shards, router=args.router, router_seed=args.seed)
-    experiment = _experiment(
-        args.f, seed=args.seed, base_timeout=120.0, max_timeout=240.0
-    )
-    engine = ParallelShardedCluster(
-        experiment,
-        shard=shard,
-        protocol=args.protocol,
-        crypto_mode="null",
-        audit=True,
-        metrics=bool(args.metrics_out),
-        jobs=args.jobs,
-    )
-    engine.run_workload(
-        num_clients=args.clients,
-        sim_time=args.sim_time,
-        token_weight=_token_weight(args.clients),
-        warmup=args.warmup,
-    )
-    duration = args.sim_time - args.warmup
-    rows = []
-    for result, tps in zip(engine.group_results, engine.per_shard_tps(duration)):
-        latency = LatencyRecorder(window_start=args.warmup)
-        latency.samples.extend(result.latency_samples)
-        report = result.audit_report or {"ok": True, "violations": []}
-        rows.append(
-            [
-                str(result.shard_id),
-                str(result.num_clients),
-                ktx(tps),
-                ms(latency.mean() if result.latency_samples else 0.0),
-                str(result.misrouted_ops),
-                "OK" if report["ok"] else f"{len(report['violations'])} violations",
-            ]
-        )
-    merged = engine.merged_latency(window_start=args.warmup)
-    print(
-        format_table(
-            f"sharded run ({args.protocol}, G={args.shards}, f={args.f} per group)",
-            ["shard", "clients", "ktx/s", "lat ms", "misrouted", "audit"],
-            rows,
-        )
-    )
-    print(
-        f"\naggregate: {ktx(sum(engine.per_shard_tps(duration)))} ktx/s  "
-        f"lat(mean)={ms(merged.mean())} ms  lat(p99)={ms(merged.p99())} ms"
-    )
-    if args.metrics_out:
-        import json
-
-        with open(args.metrics_out, "w") as fh:
-            json.dump(engine.metrics_snapshot(), fh, indent=2, sort_keys=True)
-        log.info("wrote %s", args.metrics_out)
-    violations = engine.audit_violations()
-    if violations:
-        print(f"online audit: {violations} violation(s)")
-        raise SystemExit(1)
-
-
-def _cmd_shard(args: argparse.Namespace) -> None:
-    from repro.harness.scenarios import _experiment, _token_weight
+    from repro.harness.scenarios import _token_weight
     from repro.harness.workload import ShardedClosedLoopClients
-    from repro.shard import ShardConfig, ShardedCluster
+    from repro.shard import ShardedCluster
 
-    if args.jobs > 1:
-        _cmd_shard_parallel(args)
-        return
-    shard = ShardConfig(shards=args.shards, router=args.router, router_seed=args.seed)
-    experiment = _experiment(
-        args.f, seed=args.seed, base_timeout=120.0, max_timeout=240.0
-    )
     sharded = ShardedCluster(
         experiment,
         shard=shard,
@@ -502,31 +429,93 @@ def _cmd_shard(args: argparse.Namespace) -> None:
     sharded.run(until=args.sim_time)
     sharded.assert_safety()
     duration = args.sim_time - args.warmup
-    rows = []
-    for group, sub in zip(sharded.groups, pool.pools):
-        tps = sub.throughput.throughput(duration=duration) if sub is not None else 0.0
-        lat = sub.latency.mean() if sub is not None else 0.0
-        report = (
-            group.observability.audit_report()
-            if group.observability is not None
-            else {"ok": True, "violations": []}
+    groups = [
+        (
+            group.shard_id,
+            sub.num_clients if sub is not None else 0,
+            sub.throughput.throughput(duration=duration) if sub is not None else 0.0,
+            sub.latency.mean() if sub is not None else 0.0,
+            group.misrouted_ops,
+            group.observability.audit_report() if group.observability is not None else None,
         )
+        for group, sub in zip(sharded.groups, pool.pools)
+    ]
+    return sharded, groups, pool.merged_latency()
+
+
+def _run_shard_parallel(args, experiment, shard):
+    """:func:`_run_shard_serial` with the groups across ``--jobs`` processes."""
+    from repro.des.parallel import ParallelShardedCluster
+    from repro.harness.metrics import LatencyRecorder
+    from repro.harness.scenarios import _token_weight
+
+    engine = ParallelShardedCluster(
+        experiment,
+        shard=shard,
+        protocol=args.protocol,
+        crypto_mode="null",
+        audit=True,
+        metrics=bool(args.metrics_out),
+        jobs=args.jobs,
+    )
+    engine.run_workload(
+        num_clients=args.clients,
+        sim_time=args.sim_time,
+        token_weight=_token_weight(args.clients),
+        warmup=args.warmup,
+    )
+    groups = []
+    for result, tps in zip(
+        engine.group_results, engine.per_shard_tps(args.sim_time - args.warmup)
+    ):
+        latency = LatencyRecorder(window_start=args.warmup)
+        latency.samples.extend(result.latency_samples)
+        groups.append(
+            (
+                result.shard_id,
+                result.num_clients,
+                tps,
+                latency.mean() if result.latency_samples else 0.0,
+                result.misrouted_ops,
+                result.audit_report,
+            )
+        )
+    return engine, groups, engine.merged_latency(window_start=args.warmup)
+
+
+def _cmd_shard(args: argparse.Namespace) -> None:
+    """``repro shard``: G key-routed groups, online auditor in each.
+
+    ``--jobs N`` runs the groups across N processes instead of one
+    shared simulator; the readout below (table, aggregate line, metrics
+    JSON, audit verdict) is byte-identical either way — diffing the two
+    outputs is the cheapest end-to-end determinism check, and CI does
+    exactly that.
+    """
+    from repro.harness.scenarios import _experiment
+    from repro.shard import ShardConfig
+
+    shard = ShardConfig(shards=args.shards, router=args.router, router_seed=args.seed)
+    experiment = _experiment(
+        args.f, seed=args.seed, base_timeout=120.0, max_timeout=240.0
+    )
+    run = _run_shard_parallel if args.jobs > 1 else _run_shard_serial
+    engine, groups, merged = run(args, experiment, shard)
+    rows = []
+    aggregate = 0.0
+    for shard_id, clients, tps, latency, misrouted, report in groups:
+        aggregate += tps
+        report = report or {"ok": True, "violations": []}
         rows.append(
             [
-                str(group.shard_id),
-                str(sub.num_clients if sub is not None else 0),
+                str(shard_id),
+                str(clients),
                 ktx(tps),
-                ms(lat),
-                str(group.misrouted_ops),
+                ms(latency),
+                str(misrouted),
                 "OK" if report["ok"] else f"{len(report['violations'])} violations",
             ]
         )
-    aggregate = sum(
-        sub.throughput.throughput(duration=duration)
-        for sub in pool.pools
-        if sub is not None
-    )
-    merged = pool.merged_latency()
     print(
         format_table(
             f"sharded run ({args.protocol}, G={args.shards}, f={args.f} per group)",
@@ -542,9 +531,9 @@ def _cmd_shard(args: argparse.Namespace) -> None:
         import json
 
         with open(args.metrics_out, "w") as fh:
-            json.dump(sharded.metrics_snapshot(), fh, indent=2, sort_keys=True)
+            json.dump(engine.metrics_snapshot(), fh, indent=2, sort_keys=True)
         log.info("wrote %s", args.metrics_out)
-    violations = sharded.audit_violations()
+    violations = engine.audit_violations()
     if violations:
         print(f"online audit: {violations} violation(s)")
         raise SystemExit(1)

@@ -68,7 +68,6 @@ from repro.shard.config import ShardConfig
 __all__ = [
     "GroupPort",
     "ParallelShardedCluster",
-    "parallel_sharded_load_point",
 ]
 
 #: Floor for the auto-derived lookahead window, guarding against a
@@ -757,80 +756,3 @@ class ParallelShardedCluster:
             len(report.get("violations", [])) for report in self.audit_reports()
         )
 
-
-def parallel_sharded_load_point(
-    experiment: ExperimentConfig,
-    shard: ShardConfig,
-    protocol: str,
-    clients: int,
-    sim_time: float,
-    warmup: float,
-    request_size: int,
-    reply_size: int,
-    observability: Any,
-    pipeline: Any,
-    crypto: str,
-    client: Any,
-    des_jobs: int,
-    lookahead: float | None = None,
-):
-    """The process-parallel twin of ``scenarios._sharded_load_point``.
-
-    Returns the same ``(RunResult, cluster)`` pair with byte-identical
-    numbers: throughput and percentiles are computed from the same
-    per-group samples merged in the same order.
-    """
-    from repro.harness.metrics import RunResult
-    from repro.harness.scenarios import _token_weight
-
-    if observability is not None and not observability.journey_only():
-        raise ConfigError(
-            "observability collectors are per-group on a sharded run; "
-            "drop observability (journey-only layers are allowed) or set "
-            "shard.shards == 1"
-        )
-    journey = observability.journey if observability is not None else None
-    engine = ParallelShardedCluster(
-        experiment,
-        shard=shard,
-        protocol=protocol,
-        crypto_mode=crypto,
-        pipeline=pipeline,
-        jobs=des_jobs,
-        lookahead=lookahead,
-        journey=journey,
-    )
-    engine.run_workload(
-        num_clients=clients,
-        sim_time=sim_time,
-        request_size=request_size,
-        reply_size=reply_size,
-        token_weight=_token_weight(clients),
-        target="leader",
-        warmup=warmup,
-        mode=client.mode if client is not None else "hub",
-        client_config=client,
-    )
-    duration = sim_time - warmup
-    per_shard_tps = engine.per_shard_tps(duration)
-    latency = engine.merged_latency(window_start=warmup)
-    result = RunResult(
-        clients=clients,
-        throughput_tps=sum(per_shard_tps),
-        mean_latency=latency.mean(),
-        p50_latency=latency.p50(),
-        p99_latency=latency.p99(),
-        blocks_committed=engine.blocks_committed,
-        sim_time=sim_time,
-        shards=shard.shards,
-        per_shard_tps=per_shard_tps,
-        p90_latency=latency.p90(),
-        p999_latency=latency.p999(),
-    )
-    if journey is not None:
-        from repro.obs.journey import build_waterfall
-
-        result.waterfall = build_waterfall(
-            journey, end_to_end=latency, window_start=warmup
-        )
-    return result, engine

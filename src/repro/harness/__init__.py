@@ -8,8 +8,14 @@ This package turns the protocol library into the paper's evaluation:
   (Poisson) client populations, including no-op workloads;
 * :mod:`repro.harness.metrics` — latency recorders, throughput windows;
 * :mod:`repro.harness.invariants` — cross-replica safety auditing;
-* :mod:`repro.harness.scenarios` — canned experiments, one per figure;
+* :mod:`repro.harness.scenarios` — :class:`Scenario`, the one run
+  description, the load-point/sweep/trace runs it drives (re-exported
+  by :mod:`repro.api`), and the canned per-figure experiments;
+* :mod:`repro.harness.parallel` — multi-process sweeps over
+  ``Scenario`` tasks and the on-disk result cache;
 * :mod:`repro.harness.analytical` — the Table I complexity model;
+* :mod:`repro.harness.audit` — audited runs (flight recorder + online
+  auditor + observatory) and the empirical complexity sweep;
 * :mod:`repro.harness.failures` — crash/partition/Byzantine injection and
   the random-adversity fuzzer;
 * :mod:`repro.harness.explorer` — adversarial message-interleaving hunts;

@@ -1,8 +1,9 @@
 """Parallel experiment engine: multi-process sweeps and result caching.
 
 A throughput/latency curve is a list of *independent* deterministic load
-points — each is a pure function of its scenario parameters and the code
-that interprets them.  That makes the sweep embarrassingly parallel and
+points — each is a pure function of its
+:class:`~repro.harness.scenarios.Scenario` and the code that interprets
+it.  That makes the sweep embarrassingly parallel and
 perfectly cacheable:
 
 * :class:`SweepExecutor` fans load points across ``jobs`` worker
@@ -14,8 +15,8 @@ perfectly cacheable:
   exactly.
 
 * :class:`ResultCache` is a content-addressed on-disk cache.  The key is
-  the SHA-256 of the canonically encoded scenario payload plus a
-  fingerprint of every ``repro`` source file, so editing any simulator
+  the SHA-256 of the canonically encoded task (every ``Scenario`` field)
+  plus a fingerprint of every ``repro`` source file, so editing any simulator
   code invalidates all cached points while re-running an unchanged sweep
   costs only file reads.  Values are JSON; Python's shortest-roundtrip
   float ``repr`` guarantees cached results decode bit-identical.
@@ -36,11 +37,14 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, is_dataclass
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.common.encoding import encode
 from repro.common.errors import ConfigError
 from repro.harness.metrics import RunResult
+
+if TYPE_CHECKING:
+    from repro.harness.scenarios import Scenario
 
 DEFAULT_CACHE_ENV = "REPRO_CACHE_DIR"
 """Environment variable overriding the on-disk cache location."""
@@ -71,7 +75,8 @@ def _canonical(value: Any) -> Any:
     """Rewrite ``value`` into the canonical codec's supported types.
 
     Floats become tagged shortest-roundtrip reprs (the codec is integer/
-    bytes/str only); dataclasses (e.g. ``PipelineConfig``) become dicts.
+    bytes/str only); dataclasses (e.g. ``Scenario`` and the configs it
+    nests) become dicts.
     """
     if isinstance(value, float):
         return ["__float__", repr(value)]
@@ -102,7 +107,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    def key_for(self, payload: dict[str, Any]) -> str:
+    def key_for(self, payload: Any) -> str:
         """Cache key: canonical encoding of payload + code fingerprint."""
         blob = encode(
             _canonical({"payload": payload, "code": code_fingerprint()})
@@ -148,31 +153,32 @@ class ResultCache:
         return removed
 
 
-def _eval_point(task: dict[str, Any]) -> dict[str, Any]:
+def _eval_point(task: Any) -> dict[str, Any]:
     """Worker entry point: run one task, return plain data.
 
     Top-level function so the ``spawn`` context can pickle it by
     reference; each worker imports the harness fresh and builds its own
-    simulator from the task's seed.  Tasks are load points unless their
-    ``kind`` says otherwise — adversary campaign cells dispatch to
-    :func:`repro.adversary.campaign._eval_cell` (the distinct ``kind``
-    value keeps their cache keys disjoint from load points').  Load-point
-    results carry the :class:`RunResult` fields plus a SHA-256 of the
-    run's commit trace, which the byte-identity tests compare across
-    serial/parallel runs.
+    simulator from the task's seed.  A task is either a
+    :class:`~repro.harness.scenarios.Scenario` (one load point) or a
+    ``kind="adversary_cell"`` dict, dispatched to
+    :func:`repro.adversary.campaign._eval_cell` (the ``kind`` entry keeps
+    its cache keys disjoint from load points').  Load-point results carry
+    the :class:`RunResult` fields plus a SHA-256 of the run's commit
+    trace, which the byte-identity tests compare across serial/parallel
+    runs.
     """
-    task = dict(task)
-    kind = task.pop("kind", "load_point")
-    if kind == "adversary_cell":
+    if isinstance(task, dict):
+        task = dict(task)
+        kind = task.pop("kind", None)
+        if kind != "adversary_cell":
+            raise ConfigError(f"unknown sweep task kind {kind!r}")
         from repro.adversary.campaign import _eval_cell
 
         return _eval_cell(task)
-    if kind != "load_point":
-        raise ConfigError(f"unknown sweep task kind {kind!r}")
 
-    from repro.harness.scenarios import _load_point_ex
+    from repro.harness.scenarios import run_scenario
 
-    result, cluster = _load_point_ex(**task)
+    result, cluster = run_scenario(task)
     trace_sha = hashlib.sha256(encode(cluster.commit_trace())).hexdigest()
     return {"result": asdict(result), "trace_sha256": trace_sha}
 
@@ -225,26 +231,25 @@ class SweepExecutor:
 
     # ------------------------------------------------------------- running
 
-    def run_points(self, tasks: list[dict[str, Any]]) -> list[RunResult]:
-        """Evaluate load points; results in the same order as ``tasks``."""
-        return [_result_from(v) for v in self._run_raw(tasks)]
+    def run_points(self, scenarios: list[Scenario]) -> list[RunResult]:
+        """Evaluate load points; results in the same order as ``scenarios``."""
+        return [_result_from(v) for v in self._run_raw(scenarios)]
 
     def run_tasks(self, tasks: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        """Evaluate arbitrary-kind tasks, returning the raw worker dicts.
+        """Evaluate ``kind``-tagged dict tasks, returning the raw worker dicts.
 
-        Each task carries a ``kind`` key (default ``load_point``); the
-        kind participates in the cache key, so differently-kinded tasks
-        never collide.  Used by the adversary campaign runner.
+        The ``kind`` participates in the cache key, so these tasks never
+        collide with load points.  Used by the adversary campaign runner.
         """
         return self._run_raw(tasks)
 
-    def _run_raw(self, tasks: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    def _run_raw(self, tasks: list[Any]) -> list[dict[str, Any]]:
         values: list[dict[str, Any] | None] = [None] * len(tasks)
         keys: list[str | None] = [None] * len(tasks)
         pending: list[int] = []
         for index, task in enumerate(tasks):
             if self.cache is not None:
-                key = self.cache.key_for({"kind": "load_point", **task})
+                key = self.cache.key_for(task)
                 keys[index] = key
                 cached = self.cache.get(key)
                 if cached is not None:
@@ -268,7 +273,7 @@ class SweepExecutor:
 
     def run_curve(
         self,
-        base_task: dict[str, Any],
+        scenario: Scenario,
         client_counts: list[int],
         latency_cap: float,
     ) -> list[RunResult]:
@@ -283,7 +288,7 @@ class SweepExecutor:
         for start in range(0, len(client_counts), self.jobs):
             wave = client_counts[start : start + self.jobs]
             points = self.run_points(
-                [{**base_task, "clients": clients} for clients in wave]
+                [scenario.with_overrides(clients=clients) for clients in wave]
             )
             for point in points:
                 results.append(point)
@@ -294,7 +299,7 @@ class SweepExecutor:
 
 def bisect_peak(
     executor: SweepExecutor,
-    base_task: dict[str, Any],
+    scenario: Scenario,
     client_counts: list[int],
     latency_cap: float,
 ) -> list[RunResult]:
@@ -318,7 +323,7 @@ def bisect_peak(
         if not todo:
             return
         points = executor.run_points(
-            [{**base_task, "clients": client_counts[i]} for i in todo]
+            [scenario.with_overrides(clients=client_counts[i]) for i in todo]
         )
         for index, point in zip(todo, points):
             evaluated[index] = point

@@ -16,10 +16,10 @@ import json
 
 import pytest
 
+from repro.api import RunObservability, Scenario, latency_breakdown, run_scenario
 from repro.cli import main as cli_main
 from repro.client.config import ClientConfig
 from repro.harness.metrics import LatencyRecorder
-from repro.harness.scenarios import _latency_breakdown, _load_point_ex
 from repro.obs.journey import (
     CK_CERTIFIED,
     CK_COMMITTED,
@@ -209,12 +209,21 @@ class TestWaterfall:
 # ---------------------------------------------------------------------------
 # DES integration: the reconciliation invariant on real runs
 
-_RUN = dict(clients=256, sim_time=14.0, warmup=5.0, seed=3)
+_RUN = Scenario(clients=256, sim_time=14.0, warmup=5.0, seed=3)
+
+
+def _journey_run(scenario: Scenario, sample_rate: float = 1.0):
+    """:func:`latency_breakdown` that also hands back the cluster."""
+    recorder = JourneyRecorder(scenario.seed, rate=sample_rate)
+    result, cluster = run_scenario(
+        scenario, RunObservability(trace=False, metrics=False, journey=recorder)
+    )
+    return result, recorder, cluster
 
 
 class TestJourneyRuns:
     def test_hub_run_reconciles(self):
-        result, _recorder, _ = _latency_breakdown(**_RUN)
+        result, _recorder = latency_breakdown(_RUN)
         waterfall = result.waterfall
         assert waterfall is not None
         assert waterfall["journeys"]["complete"] > 0
@@ -226,25 +235,27 @@ class TestJourneyRuns:
         assert "consensus_prepare" in stages and "consensus_commit" in stages
 
     def test_runs_are_byte_identical(self):
-        _, first, _ = _latency_breakdown(sample_rate=0.5, **_RUN)
-        result, second, _ = _latency_breakdown(sample_rate=0.5, **_RUN)
+        _, first = latency_breakdown(_RUN, sample_rate=0.5)
+        result, second = latency_breakdown(_RUN, sample_rate=0.5)
         assert journeys_blob(first) == journeys_blob(second)
         assert waterfall_json(result.waterfall) == waterfall_json(
             build_waterfall(first, end_to_end=result.waterfall["end_to_end"]["recorder_p50"],
-                            window_start=_RUN["warmup"])
+                            window_start=_RUN.warmup)
         )
 
     def test_sampling_subsets_the_full_set(self):
-        _, full, _ = _latency_breakdown(**_RUN)
-        _, sampled, _ = _latency_breakdown(sample_rate=0.25, **_RUN)
+        _, full = latency_breakdown(_RUN)
+        _, sampled = latency_breakdown(_RUN, sample_rate=0.25)
         full_keys = {key for key, _ in full.journeys()}
         sampled_keys = {key for key, _ in sampled.journeys()}
         assert 0 < len(sampled_keys) < len(full_keys)
         assert sampled_keys <= full_keys
 
     def test_sharded_run_adds_routing_stage(self):
-        result, _, _ = _latency_breakdown(
-            shard=ShardConfig(shards=2), clients=256, sim_time=14.0, warmup=5.0, seed=3
+        result, _ = latency_breakdown(
+            Scenario(
+                shard=ShardConfig(shards=2), clients=256, sim_time=14.0, warmup=5.0, seed=3
+            )
         )
         waterfall = result.waterfall
         assert waterfall["journeys"]["complete"] > 0
@@ -252,12 +263,14 @@ class TestJourneyRuns:
         assert waterfall["end_to_end"]["error"] < 0.05
 
     def test_real_client_mode_traces_admission(self):
-        result, _recorder, _ = _latency_breakdown(
-            client=ClientConfig(mode="real"),
-            clients=32,
-            sim_time=14.0,
-            warmup=5.0,
-            seed=3,
+        result, _recorder = latency_breakdown(
+            Scenario(
+                client=ClientConfig(mode="real"),
+                clients=32,
+                sim_time=14.0,
+                warmup=5.0,
+                seed=3,
+            )
         )
         waterfall = result.waterfall
         assert waterfall["journeys"]["complete"] > 0
@@ -265,7 +278,7 @@ class TestJourneyRuns:
         assert waterfall["end_to_end"]["error"] < 0.05
 
     def test_disabled_rate_records_nothing(self):
-        result, recorder, cluster = _latency_breakdown(sample_rate=0.0, **_RUN)
+        result, recorder, cluster = _journey_run(_RUN, sample_rate=0.0)
         assert not recorder.enabled
         assert len(recorder) == 0
         assert result.waterfall is None
@@ -275,11 +288,8 @@ class TestJourneyRuns:
 
     def test_event_count_invariance(self):
         """Arming the tracer must never change the simulated schedule."""
-        base, off_cluster = _load_point_ex(
-            "marlin", 1, _RUN["clients"], sim_time=_RUN["sim_time"],
-            warmup=_RUN["warmup"], seed=_RUN["seed"],
-        )
-        traced, _, on_cluster = _latency_breakdown(**_RUN)
+        base, off_cluster = run_scenario(_RUN)
+        traced, _, on_cluster = _journey_run(_RUN)
         assert on_cluster.sim.events_processed == off_cluster.sim.events_processed
         assert traced.throughput_tps == pytest.approx(base.throughput_tps)
         assert traced.p50_latency == pytest.approx(base.p50_latency)
@@ -291,7 +301,7 @@ class TestJourneyRuns:
 
 class TestSurfacing:
     def test_percentiles_on_run_result(self):
-        result, _, _ = _latency_breakdown(**_RUN)
+        result, _ = latency_breakdown(_RUN)
         assert 0.0 < result.p50_latency <= result.p90_latency
         assert result.p90_latency <= result.p999_latency
 

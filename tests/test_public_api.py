@@ -1,5 +1,5 @@
-"""The public API contract: ``__all__`` resolves, the facade works, and
-legacy entry points keep working behind deprecation warnings."""
+"""The public API contract: ``__all__`` resolves and the facade works
+without deprecation warnings."""
 
 from __future__ import annotations
 
@@ -139,37 +139,8 @@ class TestScenarioFacade:
 
 
 class TestDeprecatedAliases:
-    def test_run_load_point_warns_and_delegates(self):
-        from repro.harness.scenarios import run_load_point
-
-        with pytest.warns(DeprecationWarning, match="repro.api.load_point"):
-            result = run_load_point("marlin", 1, 16, sim_time=2.0, warmup=0.5)
-        assert result.throughput_tps > 0
-
-    def test_run_traced_scenario_warns_and_delegates(self):
-        from repro.harness.scenarios import run_traced_scenario
-
-        with pytest.warns(DeprecationWarning, match="repro.api.traced_run"):
-            _, obs = run_traced_scenario("marlin", f=1, seed=2, sim_time=1.5)
-        assert obs.tracer.spans
-
-    def test_throughput_latency_curve_warns_and_delegates(self):
-        from repro.harness.scenarios import throughput_latency_curve
-
-        with pytest.warns(DeprecationWarning, match="repro.api.throughput_curve"):
-            curve = throughput_latency_curve(
-                "marlin", 1, [16], sim_time=2.0, warmup=0.5
-            )
-        assert len(curve) == 1
-
-    def test_peak_throughput_warns_and_delegates(self):
-        from repro.harness.scenarios import peak_throughput
-
-        with pytest.warns(DeprecationWarning, match="repro.api.peak_throughput"):
-            peak, curve = peak_throughput(
-                "marlin", 1, [16], sim_time=2.0, warmup=0.5
-            )
-        assert curve and peak >= 0
+    """The pre-facade aliases finished their warning cycle and are gone;
+    the facade itself must never warn."""
 
     def test_new_facade_does_not_warn(self, recwarn):
         load_point(Scenario(protocol="marlin", f=1, clients=16, sim_time=2.0, warmup=0.5))

@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from repro.api import Scenario, load_point
+from repro.api import Scenario, SweepExecutor, load_point
 from repro.client.config import ClientConfig
 from repro.client.router import ShardRouter
 from repro.client.session import ClientSession
@@ -22,7 +22,6 @@ from repro.client.tracker import LeaderTracker
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.errors import ConfigError
 from repro.consensus.messages import ClientRequest
-from repro.harness.parallel import SweepExecutor
 from repro.harness.workload import ClosedLoopClients, ShardedClosedLoopClients
 from repro.shard import ShardConfig, ShardedCluster, ShardedLocalCluster
 
@@ -274,7 +273,7 @@ class TestWorkloadClientIds:
 # Facade + sweep engine
 
 
-SHARD_TASK = dict(
+SHARD_SCENARIO = Scenario(
     protocol="marlin",
     f=1,
     sim_time=4.0,
@@ -308,7 +307,7 @@ class TestShardedFacade:
             )
 
     def test_sharded_traces_identical_regardless_of_jobs(self):
-        tasks = [{**SHARD_TASK, "clients": clients} for clients in (64, 128)]
+        tasks = [SHARD_SCENARIO.with_overrides(clients=clients) for clients in (64, 128)]
         with SweepExecutor(jobs=1) as executor:
             inline = executor._run_raw(tasks)
         with SweepExecutor(jobs=2) as executor:
@@ -320,15 +319,15 @@ class TestShardedFacade:
         assert all(v["result"]["shards"] == 2 for v in inline)
 
     def test_sharded_points_cache_roundtrip(self, tmp_path):
-        from repro.harness.parallel import ResultCache
+        from repro.api import ResultCache
 
         counts = [64]
         cache = ResultCache(tmp_path)
         with SweepExecutor(jobs=1, cache=cache) as executor:
-            cold = executor.run_curve(SHARD_TASK, counts, 1e9)
+            cold = executor.run_curve(SHARD_SCENARIO, counts, 1e9)
         warm_cache = ResultCache(tmp_path)
         with SweepExecutor(jobs=1, cache=warm_cache) as executor:
-            warm = executor.run_curve(SHARD_TASK, counts, 1e9)
+            warm = executor.run_curve(SHARD_SCENARIO, counts, 1e9)
         assert (warm_cache.hits, warm_cache.misses) == (1, 0)
         assert warm == cold
         assert warm[0].shards == 2
