@@ -75,6 +75,11 @@ def _violation(kind: str, detail: str, **evidence: Any) -> dict[str, Any]:
     return {"kind": kind, "severity": "safety", "detail": detail, "evidence": evidence}
 
 
+def _replicas_of(mask: int) -> list[int]:
+    """The replica ids set in ``mask``, ascending."""
+    return [replica for replica in range(mask.bit_length()) if mask >> replica & 1]
+
+
 class SafetyChecker:
     """Judge histories, executions, replies and progress for one cluster.
 
@@ -191,33 +196,40 @@ class SafetyChecker:
         with at most ``f`` faulty replicas a single certificate is still
         guaranteed to contain one honest witness.
         """
-        violations: list[dict[str, Any]] = []
-        by_op: dict[tuple[int, int], dict[bytes, set[int]]] = {}
+        # One replica bitmask per (client, sequence, digest): a record costs
+        # one dict update, and the sorted-replica evidence is built only
+        # for the rare operation with two certifiable digests.
+        masks: dict[tuple[int, int, bytes], int] = {}
+        get = masks.get
         for client, sequence, replica, digest in replies:
-            by_op.setdefault((client, sequence), {}).setdefault(digest, set()).add(
-                replica
-            )
+            key = (client, sequence, digest)
+            masks[key] = get(key, 0) | (1 << replica)
         certificate = self.f + 1
-        for (client, sequence), reported in sorted(by_op.items()):
-            certifiable = [
-                digest
-                for digest, replicas in reported.items()
-                if len(replicas) >= certificate
-            ]
-            if len(certifiable) > 1:
-                violations.append(
-                    _violation(
-                        "conflicting-reply-certificates",
-                        f"operation ({client}, {sequence}) has "
-                        f"{len(certifiable)} certifiable result digests",
-                        client=client,
-                        sequence=sequence,
-                        digests={
-                            digest.hex()[:12]: sorted(reported[digest])
-                            for digest in certifiable
-                        },
-                    )
+        first: dict[tuple[int, int], bytes] = {}
+        conflicts: dict[tuple[int, int], list[bytes]] = {}
+        for (client, sequence, digest), mask in masks.items():
+            if mask.bit_count() < certificate:
+                continue
+            op = (client, sequence)
+            if op in first:
+                conflicts.setdefault(op, [first[op]]).append(digest)
+            else:
+                first[op] = digest
+        violations: list[dict[str, Any]] = []
+        for (client, sequence), certifiable in sorted(conflicts.items()):
+            violations.append(
+                _violation(
+                    "conflicting-reply-certificates",
+                    f"operation ({client}, {sequence}) has "
+                    f"{len(certifiable)} certifiable result digests",
+                    client=client,
+                    sequence=sequence,
+                    digests={
+                        digest.hex()[:12]: _replicas_of(masks[client, sequence, digest])
+                        for digest in certifiable
+                    },
                 )
+            )
         return violations
 
     # ------------------------------------------------------------- progress
@@ -291,18 +303,18 @@ class SafetyChecker:
     ) -> SafetyReport:
         """Judge a finished DES run: histories + auditor + progress.
 
-        Histories and executions are read straight from each replica's
-        ledger (learners included).  If ``observability`` carries an
+        Histories are read straight from each replica's ledger (learners
+        included); exactly-once holds when each ledger's applied
+        op-weight equals the distinct op-weight of its committed history,
+        judged a block at a time.  If ``observability`` carries an
         online auditor, its safety-severity findings merge into the
         violations (with their flight-recorder evidence windows) and its
         byzantine/protocol findings become observations.
         """
         histories: dict[int, list[HistoryEntry]] = {}
-        executions: dict[int, list[tuple[int, int]]] = {}
         expected_ops: dict[int, int] = {}
         for replica in cluster.replicas:
             entries: list[HistoryEntry] = []
-            executed: list[tuple[int, int]] = []
             seen: set[tuple[int, int]] = set()
             weight = 0
             for digest in replica.ledger.committed_digests():
@@ -310,24 +322,29 @@ class SafetyChecker:
                 if block is None or block.height == 0:
                     continue  # genesis is committed by fiat, not by the run
                 entries.append((block.height, digest, replica.tree.parent_digest(block)))
+                keys = block.op_keys
+                if len(keys) == len(block.operations) and seen.isdisjoint(keys):
+                    seen |= keys
+                    weight += block.num_ops
+                    continue
                 for op in block.operations:
-                    key = op.key()
+                    key = op._key
                     if key in seen:
                         # A view change re-proposed an in-flight op and the
-                        # abandoned block later committed too; the ledger
-                        # executes the key once, so this is not a duplicate
-                        # *execution* — the counter check below holds the
-                        # ledger to exactly that promise.
+                        # abandoned block later committed too (Case R2); the
+                        # ledger executes the key once, so this is not a
+                        # duplicate *execution*.
                         continue
                     seen.add(key)
-                    executed.append(key)
                     weight += op.weight
             histories[replica.id] = entries
-            executions[replica.id] = executed
             expected_ops[replica.id] = weight
 
-        report = self.check_history(histories, executions=executions)
-        report.checks_run.append("execution-effects")
+        report = self.check_history(histories)
+        # The distinct keys above cannot repeat, so exactly-once rests on
+        # the weight reconciliation below: an inflated ledger counter is a
+        # duplicate execution, a deflated one a lost execution.
+        report.checks_run += ["exactly-once", "execution-effects"]
         for replica in cluster.replicas:
             applied = replica.ledger.ops_committed
             expected = expected_ops[replica.id]

@@ -24,6 +24,7 @@ DES, over asyncio, and under synchronous unit tests via ``LocalContext``.
 from __future__ import annotations
 
 import random
+import struct
 from typing import Any, Callable
 
 from repro.client.collector import ReplyCollector
@@ -32,7 +33,7 @@ from repro.client.tracker import LeaderTracker
 from repro.common.encoding import encode
 from repro.consensus.context import NodeContext
 from repro.consensus.messages import ClientReply, ClientRequest, ReadReply, ReadRequest
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import digest_of, hash_bytes
 from repro.obs.flight import EV_CERTIFIED, EV_RETRANSMIT, EV_SUBMIT
 from repro.obs.journey import CK_CERTIFIED, CK_RETRANSMIT, CK_ROUTED, CK_SUBMIT
 
@@ -42,8 +43,32 @@ def make_command(client_id: int, sequence: int, op: bytes) -> bytes:
     return encode([client_id, sequence, op])
 
 
+#: ``encode(["reply", c, s, r])`` laid out as one fixed-size header —
+#: the list-of-four and ``"reply"`` tags, two tagged int64s and the
+#: tagged length of ``r`` — followed by ``r`` itself.
+_REPLY_PREFIX = b"l\x00\x00\x00\x04s\x00\x00\x00\x05reply"
+_REPLY_HEADER = struct.Struct(f">{len(_REPLY_PREFIX)}sBqBqBI")
+
+
 def result_digest_of(client_id: int, sequence: int, result: bytes) -> bytes:
-    """Digest a replica commits to when replying ``result`` for a request."""
+    """Digest a replica commits to when replying ``result`` for a request.
+
+    Byte-identical to ``digest_of(["reply", client_id, sequence, result])``
+    but packs the canonical encoding's header in one ``struct`` call
+    instead of walking the generic encoder: every committed op of every
+    replica computes one.  Anything the header cannot represent exactly
+    (a ``bool``, a non-``bytes`` result, an int outside int64) takes the
+    canonical encoder, which encodes it or raises ``EncodingError``.
+    """
+    if type(client_id) is int and type(sequence) is int and type(result) is bytes:
+        try:
+            header = _REPLY_HEADER.pack(
+                _REPLY_PREFIX, 0x69, client_id, 0x69, sequence, 0x62, len(result)
+            )
+        except struct.error:
+            pass
+        else:
+            return hash_bytes(header + result)
     return digest_of(["reply", client_id, sequence, result])
 
 

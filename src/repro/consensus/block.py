@@ -139,6 +139,17 @@ class Block:
         )
 
     @cached_property
+    def op_keys(self) -> frozenset[tuple[int, int]]:
+        """The ``(client, sequence)`` keys of the batch.
+
+        Built once per block: DES replicas share ``Block`` objects, so the
+        ledger and the safety oracle of every replica reuse one set and
+        can judge a whole batch with C-level set operations.  Smaller than
+        ``len(operations)`` iff the batch repeats a key.
+        """
+        return frozenset([op._key for op in self.operations])
+
+    @cached_property
     def num_ops(self) -> int:
         """Logical operation count (weighted)."""
         return sum(op.weight for op in self.operations)

@@ -45,9 +45,12 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
     # Blocks travel by reference in the DES, so every replica commits the
     # *same* Block object; memoize its op-key and result-digest tuples on
     # the pool so the n-replica fan-in builds them once instead of n
-    # times per block.  (Hub replies carry no execution results, so each
-    # digest is the deterministic empty-result digest — the same value a
-    # real ClientService without an application would report.)
+    # times per block.  Hub replies carry no execution results, so each
+    # digest is the empty-result digest — the same value a real
+    # ClientService without an application would report.  It is computed
+    # eagerly, not derived lazily, because the reply oracle reads every
+    # digest; ``result_digest_of`` keeps that cheap (one struct-packed
+    # header and one SHA-256, no generic encoder).
     if not hasattr(pool, "_op_keys_memo"):
         pool._op_keys_memo = (None, (), ())
 
@@ -403,8 +406,12 @@ class ClosedLoopClients:
         weight = self.token_weight
         submit_time = self._submit_time
         acks = self._acks
-        record_latency = self.latency.record
-        record_throughput = self.throughput.record
+        # Every ack in the batch shares ``now``: test the measurement
+        # window once and append the latency samples directly.
+        latency = self.latency
+        samples = (
+            latency.samples if latency.window_start <= now <= latency.window_end else None
+        )
         new_op = self._new_op
         journey = self._journey
         sampled_ids = self._sampled_ids
@@ -419,11 +426,13 @@ class ClosedLoopClients:
                 continue
             del submit_time[key]
             acks.pop(key, None)
-            record_latency(now, now - submitted, weight=weight)
-            record_throughput(now, weight)
+            if samples is not None:
+                samples.append((now, now - submitted, weight))
             if key[0] in sampled_ids:
                 journey.record(key[0], key[1], CK_CERTIFIED, now)
             fresh.append(new_op(key[0]))
+        if fresh:
+            self.throughput.record(now, weight * len(fresh))
         self._submit(fresh)
 
     # ------------------------------------------------------------ readouts

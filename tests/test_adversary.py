@@ -16,7 +16,10 @@ Four layers under test:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary import (
     ADVERSARY_SCENARIOS,
@@ -42,6 +45,10 @@ from repro.adversary.campaign import (
 )
 from repro.common.config import ClusterConfig, ExperimentConfig, QuorumConfig
 from repro.common.errors import ConfigError
+from repro.consensus.block import Operation, genesis_block, make_child
+from repro.consensus.blocktree import BlockTree
+from repro.consensus.ledger import Ledger
+from repro.crypto.hashing import digest_of
 from repro.harness.des_runtime import DESCluster
 from repro.harness.failures import ComposedStrategy, strategy_rng
 from repro.harness.workload import ClosedLoopClients
@@ -214,6 +221,36 @@ def chain(*digests: bytes) -> list[tuple[int, bytes, bytes | None]]:
     return history
 
 
+def reference_check_replies(replies, f):
+    """The dict-of-sets reply oracle that ``check_replies`` replaced."""
+    violations = []
+    by_op = {}
+    for client, sequence, replica, digest in replies:
+        by_op.setdefault((client, sequence), {}).setdefault(digest, set()).add(replica)
+    for (client, sequence), reported in sorted(by_op.items()):
+        certifiable = [
+            digest for digest, replicas in reported.items() if len(replicas) >= f + 1
+        ]
+        if len(certifiable) > 1:
+            violations.append(
+                {
+                    "kind": "conflicting-reply-certificates",
+                    "severity": "safety",
+                    "detail": f"operation ({client}, {sequence}) has "
+                    f"{len(certifiable)} certifiable result digests",
+                    "evidence": {
+                        "client": client,
+                        "sequence": sequence,
+                        "digests": {
+                            digest.hex()[:12]: sorted(reported[digest])
+                            for digest in certifiable
+                        },
+                    },
+                }
+            )
+    return violations
+
+
 class TestSafetyChecker:
     def setup_method(self):
         self.checker = SafetyChecker(num_replicas=4)
@@ -284,6 +321,47 @@ class TestSafetyChecker:
         ]
         assert self.checker.check_replies(replies) == []
 
+    @pytest.mark.parametrize("f", [1, 2, 10])
+    def test_reply_forged_at_f_plus_one_replicas_is_reported(self, f):
+        n = 3 * f + 1
+        forgers = range(n - f - 1, n)
+        replies = [(4, 2, r, d(9)) for r in range(n)]
+        replies += [(4, 2, r, d(8)) for r in forgers]
+        checker = SafetyChecker(num_replicas=n)
+        (violation,) = checker.check_replies(replies)
+        assert violation["evidence"]["digests"] == {
+            d(9).hex()[:12]: list(range(n)),
+            d(8).hex()[:12]: list(forgers),
+        }
+        # One forger fewer is within the fault bound: no violation.
+        assert checker.check_replies(replies[:-1]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), f=st.sampled_from([1, 2, 10]))
+    def test_replies_match_the_reference_implementation(self, data, f):
+        reported = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3),
+                    st.integers(0, 3),
+                    st.integers(0, 3).map(d),
+                    st.sets(st.integers(0, 70), max_size=3 * f + 4),
+                ),
+                max_size=16,
+            )
+        )
+        records = [
+            (client, seq, replica, digest)
+            for client, seq, digest, replicas in reported
+            for replica in replicas
+        ]
+        records += data.draw(st.lists(st.sampled_from(records), max_size=20)) if records else []
+        records = data.draw(st.permutations(records))
+        checker = SafetyChecker(num_replicas=3 * f + 1)
+        assert checker.check_replies(iter(records)) == reference_check_replies(
+            records, f
+        )
+
     def test_progress_rules(self):
         healthy = {0: 10, 1: 10, 2: 10, 3: 9}
         violations, summary = self.checker.check_progress(
@@ -305,6 +383,55 @@ class TestSafetyChecker:
         )
         assert violations[0]["kind"] == "progress-stall"
         assert "no block ever committed" in violations[0]["detail"]
+
+
+def ledger_replicas(*batches):
+    """Four replicas sharing one chain whose blocks carry ``batches``."""
+    tree = BlockTree(genesis_block())
+    parent = tree.genesis
+    for view, batch in enumerate(batches, start=1):
+        ops = tuple(Operation(client, seq, b"p", weight) for client, seq, weight in batch)
+        parent = make_child(parent, view, ops, digest_of(["qc", view]))
+        tree.add(parent)
+    replicas = []
+    for rid in range(4):
+        ledger = Ledger(tree)
+        ledger.commit(parent)
+        replicas.append(SimpleNamespace(id=rid, tree=tree, ledger=ledger))
+    return SimpleNamespace(replicas=replicas)
+
+
+class TestCheckClusterExactlyOnce:
+    """``check_cluster`` reconciles each ledger's applied op-weight with
+    the distinct op-weight of its committed history."""
+
+    REPROPOSED = (
+        [(1, 0, 1), (2, 0, 3)],
+        [(3, 0, 1), (2, 0, 3)],  # Case R2: (2, 0) committed again
+        [(1, 1, 1), (1, 1, 1)],  # one key twice in one batch
+    )
+
+    def test_reproposed_and_repeated_keys_are_not_violations(self):
+        cluster = ledger_replicas(*self.REPROPOSED)
+        assert all(r.ledger.ops_committed == 6 for r in cluster.replicas)
+        report = SafetyChecker(num_replicas=4).check_cluster(cluster)
+        assert report.ok, report.violations
+        assert report.checks_run == [
+            "agreement", "prefix", "exactly-once", "execution-effects"
+        ]
+
+    @pytest.mark.parametrize(
+        "delta, kind", [(1, "duplicate-execution"), (-3, "lost-execution")]
+    )
+    def test_miscounted_ledger_is_reported(self, delta, kind):
+        cluster = ledger_replicas(*self.REPROPOSED)
+        cluster.replicas[2].ledger._ops_committed += delta
+        report = SafetyChecker(num_replicas=4).check_cluster(cluster)
+        (violation,) = report.violations
+        assert violation["kind"] == kind
+        assert violation["evidence"] == {
+            "replica": 2, "applied": 6 + delta, "expected": 6
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,37 @@ class TestLedger:
         assert executed == [7, 8]
         assert ledger.ops_committed == 2
 
+    @pytest.mark.parametrize("with_executor", [False, True])
+    def test_reproposed_key_in_a_later_block_executes_once(self, with_executor):
+        # View-change Case R2: a later leader re-proposes an op whose
+        # first block also commits.  Each block commits on its own, so
+        # the second one overlaps the executed set.
+        tree = BlockTree(genesis_block())
+        a = make_child(tree.genesis, 1, (op(7, weight=3), op(9)), digest_of("qa"))
+        b = make_child(a, 2, (op(8), op(7, weight=3)), digest_of("qb"))
+        tree.add(a)
+        tree.add(b)
+        executed: list[int] = []
+        ledger = Ledger(tree)
+        if with_executor:
+            ledger.set_executor(lambda blk, o: executed.append(o.sequence))
+        ledger.commit(a)
+        ledger.commit(b)
+        assert ledger.ops_committed == 5
+        if with_executor:
+            assert executed == [7, 9, 8]
+
+    def test_block_repeating_a_key_counts_it_once(self):
+        # ``op_keys`` is smaller than the batch, so the per-op path runs.
+        tree = BlockTree(genesis_block())
+        batch = (op(5, weight=2), op(5, weight=2), op(6))
+        a = make_child(tree.genesis, 1, batch, digest_of("qa"))
+        tree.add(a)
+        assert len(a.op_keys) == 2
+        ledger = Ledger(tree)
+        ledger.commit(a)
+        assert ledger.ops_committed == 3
+
     def test_weighted_ops_counted(self):
         tree = BlockTree(genesis_block())
         a = make_child(tree.genesis, 1, (op(0, weight=10),), digest_of("qa"))

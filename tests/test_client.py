@@ -13,6 +13,7 @@ import asyncio
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.client import (
     ClientConfig,
@@ -23,7 +24,7 @@ from repro.client import (
     SessionTable,
     result_digest_of,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, EncodingError
 from repro.consensus.context import LocalContext
 from repro.consensus.messages import ClientReply, ClientRequest, ReadReply
 from repro.crypto.hashing import digest_of
@@ -64,6 +65,67 @@ class TestClientConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             ClientConfig(**kwargs)
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+class TestResultDigest:
+    """``result_digest_of`` packs its header by hand; it must stay the
+    canonical ``digest_of(["reply", c, s, r])`` bit for bit."""
+
+    def test_golden_values(self):
+        assert result_digest_of(9, 1, b"").hex() == (
+            "c890ae26753d67453d73a4505b721c36c1bdc22619d7404ad6db9d917d4c32b1"
+        )
+        assert result_digest_of(0, 0, b"x" * 150).hex() == (
+            "daf7cf8f143bee8669d66a208d149aafd3e36b428c7d1b272cf462b7aa8850c2"
+        )
+
+    @pytest.mark.parametrize("value", [0, -1, 2**63 - 1, -(2**63)])
+    @pytest.mark.parametrize("length", [0, 1, 150, 70_000])
+    def test_matches_canonical_encoding(self, value, length):
+        result = bytes(range(256)) * (length // 256) + bytes(length % 256)
+        for client, seq in ((value, 7), (7, value), (value, value)):
+            assert result_digest_of(client, seq, result) == digest_of(
+                ["reply", client, seq, result]
+            )
+
+    @given(INT64, INT64, st.binary(max_size=512))
+    def test_property_matches_canonical_encoding(self, client, seq, result):
+        assert result_digest_of(client, seq, result) == digest_of(
+            ["reply", client, seq, result]
+        )
+
+    @pytest.mark.parametrize(
+        "client, seq", [(2**63, 0), (0, -(2**63) - 1), (2**70, 2**70)]
+    )
+    def test_out_of_range_int_raises_encoding_error(self, client, seq):
+        with pytest.raises(EncodingError):
+            result_digest_of(client, seq, b"")
+
+    @pytest.mark.parametrize(
+        "client, seq, result",
+        [
+            (True, 1, b""),
+            (1, False, b"r"),
+            (1, 2, "text"),
+            (1, 2, None),
+            (None, 2, b""),
+        ],
+    )
+    def test_non_int_arguments_follow_the_canonical_encoder(self, client, seq, result):
+        # A bool packs like an int in ``struct`` but encodes as a tag of
+        # its own: the fast header must not be used for it.
+        assert result_digest_of(client, seq, result) == digest_of(
+            ["reply", client, seq, result]
+        )
+
+    def test_unencodable_result_raises_like_the_canonical_encoder(self):
+        with pytest.raises(EncodingError):
+            digest_of(["reply", 1, 2, bytearray(b"r")])
+        with pytest.raises(EncodingError):
+            result_digest_of(1, 2, bytearray(b"r"))
 
 
 class TestReplyCollector:
