@@ -51,6 +51,35 @@ ResultFn = Callable[[Block, Operation], bytes]
 ReadFn = Callable[[bytes], bytes]
 
 
+class EmptyResultReplies:
+    """``(op keys, result digests)`` of a block's replies when no
+    application is attached.
+
+    Every result is empty, so each digest is request-derived and the same
+    on every correct replica.  DES replicas commit the same ``Block``
+    object, one replica after another, so one instance shared by a
+    cluster's repliers (the hub's reply senders, or every replica's
+    :class:`ClientService`) keeps the last block's tuples and builds them
+    once per block instead of once per replica.  The reply oracle reads
+    every digest, so they are computed eagerly.  ``digest_fn`` is
+    :func:`result_digest_of` as the caller's module holds it, so a
+    profiler wrapping that reference sees the caller's work.
+    """
+
+    def __init__(self, digest_fn: Callable[[int, int, bytes], bytes]) -> None:
+        self._digest_fn = digest_fn
+        self._block: Block | None = None
+        self._replies: tuple[tuple[tuple[int, int], ...], tuple[bytes, ...]] = ((), ())
+
+    def of(self, block: Block) -> tuple[tuple[tuple[int, int], ...], tuple[bytes, ...]]:
+        if block is not self._block:
+            keys = tuple(op._key for op in block.operations)
+            digest_fn = self._digest_fn
+            self._replies = (keys, tuple(digest_fn(c, s, b"") for c, s in keys))
+            self._block = block
+        return self._replies
+
+
 class SessionTable:
     """Per-client committed progress and last-reply cache."""
 
@@ -105,6 +134,7 @@ class ClientService:
         read_fn: ReadFn | None = None,
         send_replies: bool = True,
         reply_size: int = 0,
+        empty_replies: EmptyResultReplies | None = None,
     ) -> None:
         self.replica = replica
         self.config = config or ClientConfig()
@@ -113,6 +143,9 @@ class ClientService:
         self.read_fn = read_fn
         self.send_replies = send_replies
         self.reply_size = reply_size
+        #: Shared with the cluster's other services (see
+        #: :func:`attach_client_services`) when no application is attached.
+        self._empty_replies = empty_replies or EmptyResultReplies(result_digest_of)
 
         #: weighted admitted-but-uncommitted ops, per the admission window.
         self.inflight_weight = 0
@@ -253,17 +286,18 @@ class ClientService:
         journey = getattr(getattr(self.replica, "obs", None), "journey", None)
         if journey is not None and block.proposer == self.replica.id:
             journey.record_ops(block.operations, CK_EXECUTED, now)
-        for op in block.operations:
-            key = (op.client_id, op.sequence)
-            weight = self._inflight.pop(key, None)
+        # No application attached (DES replicas): the result is empty and
+        # its digest request-derived — identical on every correct
+        # replica, which is all certificates need.
+        digests = None
+        if self.result_fn is None:
+            digests = self._empty_replies.of(block)[1]
+        for index, op in enumerate(block.operations):
+            weight = self._inflight.pop(op._key, None)
             if weight is not None:
                 self.inflight_weight -= weight
-            if self.result_fn is None:
-                # No application attached (DES replicas): the result is
-                # empty and its digest request-derived — identical on
-                # every correct replica, which is all certificates need.
-                digest = self._result_digest(op.client_id, op.sequence, b"")
-                self.sessions.record(op.client_id, op.sequence, b"", digest)
+            if digests is not None:
+                self.sessions.record(op.client_id, op.sequence, b"", digests[index])
             cached = self.sessions.cached_reply(op.client_id, op.sequence)
             if cached is None:
                 continue
@@ -403,6 +437,7 @@ def attach_client_services(
     if replicas is None:
         replicas = [node.replica for node in cluster.nodes]
     services = []
+    empty_replies = EmptyResultReplies(result_digest_of)
     for replica in replicas:
         if not getattr(replica, "is_voter", True):
             continue  # learners hold no pool/crypto and never answer writes
@@ -413,6 +448,7 @@ def attach_client_services(
             read_fn=read_fn,
             send_replies=send_replies,
             reply_size=reply_size,
+            empty_replies=empty_replies,
         )
         services.append(service.install())
     return services

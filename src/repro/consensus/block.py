@@ -307,9 +307,13 @@ class BatchPool:
         """Weighted size of the staged batch (0 when nothing staged)."""
         return sum(op.weight for op in self._staged) if self._staged else 0
 
-    def forget(self, ops: tuple[Operation, ...]) -> None:
-        """Prune committed operations from the pending queue."""
-        keys = {op._key for op in ops}
+    def forget(self, block: Block) -> None:
+        """Prune ``block``'s committed operations from the pending queue.
+
+        Reads the block's shared :attr:`Block.op_keys` set: DES replicas
+        commit the same ``Block`` object, so no replica builds its own.
+        """
+        keys = block.op_keys
         if not keys:
             return
         if self._pending:

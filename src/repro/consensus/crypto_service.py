@@ -127,7 +127,7 @@ class CryptoService(ABC):
         """
         if qc.view == 0 and qc.signature is None:
             return
-        key = (qc.signed_payload, qc.signature)
+        key = qc.verify_key
         if key in self._qc_cache:
             self._qc_cache.move_to_end(key)
             self.qc_cache_hits += 1
@@ -150,7 +150,7 @@ class CryptoService(ABC):
         """Non-mutating probe: would :meth:`verify_qc` be a cache hit?"""
         if qc.view == 0 and qc.signature is None:
             return True
-        return (qc.signed_payload, qc.signature) in self._qc_cache
+        return qc.verify_key in self._qc_cache
 
     def bind_metrics(self, registry: Any) -> None:
         """Expose QC-cache hit/miss counters on a metrics registry."""

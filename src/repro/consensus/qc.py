@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 from repro.common.errors import InvalidQC
@@ -118,6 +119,12 @@ class QuorumCertificate:
     :class:`~repro.crypto.multisig.MultiSignature`, or an opaque token in
     fast-simulation mode.  Validation goes through the crypto service so
     protocol code never inspects it.
+
+    The derived bytes (:attr:`signed_payload`, :attr:`digest`,
+    :attr:`verify_key`) are computed once per object: in the DES all n
+    replicas receive the same QC object.  A frozen instance never
+    changes, and ``dataclasses.replace`` builds a fresh one, so a cached
+    value cannot go stale.
     """
 
     phase: Phase
@@ -145,16 +152,21 @@ class QuorumCertificate:
     def block_digest(self) -> Digest:
         return self.block.digest
 
-    @property
+    @cached_property
     def signed_payload(self) -> bytes:
         return vote_payload(self.phase, self.view, self.block)
+
+    @cached_property
+    def verify_key(self) -> tuple[bytes, Any]:
+        """``(signed_payload, signature)``: the crypto service's QC-cache key."""
+        return (self.signed_payload, self.signature)
 
     @property
     def wire_size(self) -> int:
         signature_size = getattr(self.signature, "wire_size", 32)
         return 1 + 8 + self.block.wire_size + int(signature_size)
 
-    @property
+    @cached_property
     def digest(self) -> Digest:
         return digest_of(["qc", self.phase.value, self.view, self.block.encodable()])
 

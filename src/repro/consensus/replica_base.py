@@ -355,7 +355,7 @@ class ReplicaBase(ABC):
             self.obs.block_committed(
                 block.digest, block.height, len(block.operations), block.view
             )
-        self.pool.forget(block.operations)
+        self.pool.forget(block)
         now = self.ctx.now
         if self._batch_controller is not None:
             proposed = self._proposed_at.pop(block.digest, None)

@@ -10,13 +10,18 @@ just network hops — bound throughput.
 Crashing a process makes it drop all future callbacks, which is exactly
 the crash-failure model of the paper's view-change and rotating-leader
 experiments.
+
+Every callback is posted to the simulator as one handle-free heap entry
+(:meth:`Simulator.post`) wrapping a bound ``partial`` of
+:meth:`Process._if_alive` — no per-event closure and no label.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Any, Callable
 
-from repro.des.simulator import Simulator
+from repro.des.simulator import SimulationError, Simulator
 
 
 class Process:
@@ -77,22 +82,28 @@ class Process:
         self._cpu_busy_total += cpu_seconds
         return self._cpu_free_at
 
-    def run_after_cpu(self, cpu_seconds: float, callback: Callable[[], None], label: str = "") -> None:
-        """Charge CPU work and run ``callback`` when it completes (if alive)."""
+    def run_after_cpu(
+        self, cpu_seconds: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Charge CPU work and run ``callback(*args)`` when it completes
+        (if alive)."""
         done_at = self.charge(cpu_seconds)
-        self._sim.schedule_at(done_at, self._guard(callback), label=label or f"{self._name}:cpu")
+        now = self._sim.now
+        self._sim.post(now + (done_at - now), partial(self._if_alive, callback, *args))
 
-    def run_at(self, time: float, callback: Callable[[], None], label: str = "") -> None:
-        """Run ``callback`` at absolute simulated ``time`` if still alive."""
-        self._sim.schedule_at(time, self._guard(callback), label=label or self._name)
+    def run_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute simulated ``time`` if still alive."""
+        now = self._sim.now
+        if time < now:
+            raise SimulationError(f"cannot run into the past (time={time}, now={now})")
+        self._sim.post(now + (time - now), partial(self._if_alive, callback, *args))
 
-    def run_after(self, delay: float, callback: Callable[[], None], label: str = "") -> None:
-        """Run ``callback`` after ``delay`` seconds if still alive."""
-        self._sim.schedule(delay, self._guard(callback), label=label or self._name)
+    def run_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` seconds if still alive."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._sim.post(self._sim.now + delay, partial(self._if_alive, callback, *args))
 
-    def _guard(self, callback: Callable[[], None]) -> Callable[[], None]:
-        def guarded() -> None:
-            if self._alive:
-                callback()
-
-        return guarded
+    def _if_alive(self, callback: Callable[..., None], *args: Any) -> None:
+        if self._alive:
+            callback(*args)

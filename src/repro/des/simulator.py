@@ -5,12 +5,18 @@ by (time, sequence).  The sequence number makes ordering total and
 deterministic: two events scheduled for the same instant fire in the order
 they were scheduled, on every run.
 
-Hot-path design: the heap holds plain ``(time, seq, event)`` tuples, so
+Hot-path design: the heap holds plain ``(time, seq, item)`` tuples, so
 every sift comparison during push/pop is a C-level tuple compare on a
-float and an int — the sequence number is unique, so the :class:`Event`
-handle in the third slot is never compared.  The handle itself is a
-``__slots__`` object that exists only to support O(1) tombstone
-cancellation; cancelled events are skipped when popped.
+float and an int — the sequence number is unique, so the third slot is
+never compared.  Two kinds of entry share the heap:
+
+* :meth:`Simulator.post` pushes the callback itself — no handle, no
+  allocation beyond the tuple.  Messages, CPU completions and network
+  drains (one or more per simulated message) all take this path;
+* :meth:`Simulator.schedule` pushes an :class:`Event` — a ``__slots__``
+  handle that exists only to support O(1) tombstone cancellation.  Only
+  cancellable work (timers) needs it; cancelled events are skipped when
+  popped.
 
 Tombstones are cheap individually but a mass cancel (a view-change storm
 rearming thousands of timers at once) can leave the heap mostly dead
@@ -77,7 +83,7 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Event | Callable[[], None]]] = []
         self._rng = random.Random(seed)
         self._events_processed = 0
         self._running = False
@@ -98,6 +104,17 @@ class Simulator:
         return self._events_processed
 
     @property
+    def scheduled(self) -> int:
+        """Heap entries pushed so far (posted and scheduled alike).
+
+        A deterministic work count: every entry costs a push, a pop and
+        two sifts, so this counts the engine's per-event work
+        independently of wall-clock noise.  It also equals the sequence
+        number the next entry will get.
+        """
+        return self._seq
+
+    @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
         return len(self._queue)
@@ -106,8 +123,9 @@ class Simulator:
         """Credit ``count`` logical events beyond the heap pops.
 
         The network's batched delivery collapses same-instant deliveries
-        on one link into a single heap event; it credits the remainder
-        here so :attr:`events_processed` keeps counting deliveries
+        on one link into a single heap event, and a replica's deferred
+        sends share one outbox event; each credits the remainder here so
+        :attr:`events_processed` keeps counting deliveries and sends
         individually, independent of how they were scheduled.
         """
         self._events_processed += count
@@ -118,12 +136,33 @@ class Simulator:
         # local alias held by a running run() loop stays valid.
         self._cancelled += 1
         if self._cancelled >= _COMPACT_MIN and self._cancelled * 2 > len(self._queue):
-            self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
+            self._queue[:] = [
+                entry
+                for entry in self._queue
+                if type(entry[2]) is not Event or not entry[2].cancelled
+            ]
             heapify(self._queue)
             self._cancelled = 0
 
+    def post(self, time: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at absolute simulated ``time``; not cancellable.
+
+        The heap entry is ``(time, seq, callback)``: no :class:`Event`
+        handle is allocated.  ``time`` is pushed as given, so a caller
+        replacing ``schedule(delay, ...)`` passes ``now + delay`` to keep
+        the identical float.  A ``time`` behind the clock is caught when
+        it is popped.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, callback))
+
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+        """Schedule ``callback`` to run ``delay`` seconds from now.
+
+        Returns the :class:`Event` handle that cancels it; use
+        :meth:`post` for work that is never cancelled.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
@@ -153,17 +192,20 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         queue = self._queue
+        event_type = Event
         try:
             processed_this_run = 0
             while queue:
                 if max_events is not None and processed_this_run >= max_events:
                     break
-                time, _, event = queue[0]
-                if event.cancelled:
-                    heappop(queue)
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
+                time, _, item = queue[0]
+                if type(item) is event_type:
+                    if item.cancelled:
+                        heappop(queue)
+                        if self._cancelled > 0:
+                            self._cancelled -= 1
+                        continue
+                    item = item.callback
                 if until is not None and time > until:
                     self._now = until
                     return
@@ -173,7 +215,7 @@ class Simulator:
                         f"event at t={time} popped after clock reached {self._now}"
                     )
                 self._now = time
-                event.callback()
+                item()
                 self._events_processed += 1
                 processed_this_run += 1
             if until is not None and until > self._now:
@@ -189,17 +231,19 @@ class Simulator:
         :class:`SimulationError` instead of silently rewinding time.
         """
         while self._queue:
-            time, _, event = heappop(self._queue)
-            if event.cancelled:
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                continue
+            time, _, item = heappop(self._queue)
+            if type(item) is Event:
+                if item.cancelled:
+                    if self._cancelled > 0:
+                        self._cancelled -= 1
+                    continue
+                item = item.callback
             if time < self._now:
                 raise SimulationError(
                     f"event at t={time} popped after clock reached {self._now}"
                 )
             self._now = time
-            event.callback()
+            item()
             self._events_processed += 1
             return True
         return False

@@ -8,7 +8,10 @@ shared :class:`~repro.network.simnet.SimNetwork` to the sans-io
   busy replica queues work exactly like a saturated server;
 * outbound messages *leave* when all CPU work charged before the send has
   completed, so a leader that must verify a quorum of shares cannot
-  broadcast the resulting QC early.
+  broadcast the resulting QC early.  Sends that must wait share one
+  *outbox* event per departure instant: a broadcast, or the replies of
+  one commit, cost one heap entry instead of one per message (see
+  :meth:`DESContext.send` for why this is exact).
 
 :class:`DESCluster` assembles an ``n``-replica cluster of any protocol
 ("marlin", "hotstuff", "insecure") over any crypto scheme ("threshold",
@@ -18,6 +21,7 @@ the traffic counters the complexity benchmarks read.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.common.config import ExperimentConfig
@@ -68,27 +72,69 @@ class DESContext(NodeContext):
         num_replicas: int,
     ) -> None:
         self._process = process
+        self._sim = process.sim
         self._network = network
         self._id = replica_id
         self._n = num_replicas
         self._timers = TimerWheel(process.sim)
+        #: Open outbox: ``(dst, payload)`` sends sharing one posted
+        #: departure event, with that event's heap time and sequence.
+        self._outbox: list[tuple[int, Any]] | None = None
+        self._outbox_time = -1.0
+        self._outbox_seq = -1
 
     @property
     def now(self) -> float:
-        return self._process.sim.now
+        return self._sim.now
 
     def charge(self, seconds: float) -> None:
         if seconds > 0:
             self._process.charge(seconds)
 
     def send(self, dst: int, payload: Any) -> None:
+        """Send now if the CPU is free, else when the work before it is done.
+
+        A deferred send joins the open outbox when that event departs at
+        the same heap time and nothing has been pushed since it was
+        posted (its sequence number is the latest): one event per send
+        would then have fired back to back with nothing in between, so
+        sending the batch in FIFO order from one event is exact.
+        Otherwise the send opens a new outbox.
+        """
+        sim = self._sim
+        now = sim.now
         ready_at = self._process.cpu_free_at
-        if ready_at <= self.now:
+        if ready_at <= now:
             self._network.send(self._id, dst, payload)
-        else:
-            self._process.run_at(
-                ready_at, lambda: self._network.send(self._id, dst, payload), "net-send"
-            )
+            return
+        time = now + (ready_at - now)
+        outbox = self._outbox
+        if (
+            outbox is not None
+            and self._outbox_time == time
+            and sim.scheduled == self._outbox_seq + 1
+        ):
+            outbox.append((dst, payload))
+            return
+        outbox = [(dst, payload)]
+        self._outbox = outbox
+        self._outbox_time = time
+        self._outbox_seq = sim.scheduled
+        sim.post(time, partial(self._depart, outbox))
+
+    def _depart(self, outbox: list[tuple[int, Any]]) -> None:
+        if self._outbox is outbox:
+            self._outbox = None
+        if len(outbox) > 1:
+            # One heap event stood in for the whole outbox; keep
+            # events_processed counting sends individually, dead or alive.
+            self._sim.credit_events(len(outbox) - 1)
+        if not self._process.alive:
+            return
+        send = self._network.send
+        src = self._id
+        for dst, payload in outbox:
+            send(src, dst, payload)
 
     def broadcast(self, payload: Any) -> None:
         for dst in range(self._n):
@@ -240,13 +286,12 @@ class DESCluster:
         process = self.processes[replica_id]
         replica_ref = self.replicas
         inbound = self._inbound_filter
+
         if inbound is None:
 
             def deliver(src: int, payload: Any) -> None:
                 # Processing waits for the CPU; the handler then charges more.
-                process.run_after_cpu(
-                    0.0, lambda: replica_ref[replica_id].on_message(src, payload)
-                )
+                process.run_after_cpu(0.0, replica_ref[replica_id].on_message, src, payload)
 
             return deliver
 
@@ -254,9 +299,7 @@ class DESCluster:
             payload = inbound(replica_id, src, payload)
             if payload is None:
                 return
-            process.run_after_cpu(
-                0.0, lambda: replica_ref[replica_id].on_message(src, payload)
-            )
+            process.run_after_cpu(0.0, replica_ref[replica_id].on_message, src, payload)
 
         return deliver_filtered
 

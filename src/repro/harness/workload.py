@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.client.config import ClientConfig
-from repro.client.service import attach_client_services
+from repro.client.service import EmptyResultReplies, attach_client_services
 from repro.client.session import result_digest_of
 from repro.common.errors import ConfigError
 from repro.consensus.block import Block, Operation
@@ -36,32 +36,22 @@ from repro.harness.metrics import LatencyRecorder, ThroughputMeter
 from repro.obs.journey import CK_CERTIFIED, CK_EXECUTED, CK_ROUTED, CK_SUBMIT
 
 
-def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
+def _attach_reply_senders(pool, cluster: DESCluster) -> None:
+    """Make every voting replica answer the pool's hub (learner commits
+    are evidence, not replies); the senders share one reply memo."""
+    empty_replies = EmptyResultReplies(result_digest_of)
+    for replica in cluster.replicas[: cluster.experiment.cluster.num_replicas]:
+        _attach_reply_sender(pool, replica, empty_replies)
+
+
+def _attach_reply_sender(
+    pool, replica: ReplicaBase, empty_replies: EmptyResultReplies
+) -> None:
     """Make ``replica`` send an aggregate ReplyBatch to the pool's hub on
     every commit (shared by the open- and closed-loop generators)."""
     hub_id = pool.hub_id
     reply_size = pool.reply_size
     journey = getattr(pool, "_journey", None)
-    # Blocks travel by reference in the DES, so every replica commits the
-    # *same* Block object; memoize its op-key and result-digest tuples on
-    # the pool so the n-replica fan-in builds them once instead of n
-    # times per block.  Hub replies carry no execution results, so each
-    # digest is the empty-result digest — the same value a real
-    # ClientService without an application would report.  It is computed
-    # eagerly, not derived lazily, because the reply oracle reads every
-    # digest; ``result_digest_of`` keeps that cheap (one struct-packed
-    # header and one SHA-256, no generic encoder).
-    if not hasattr(pool, "_op_keys_memo"):
-        pool._op_keys_memo = (None, (), ())
-
-    def keys_and_digests_of(block: Block) -> tuple[tuple, tuple]:
-        memo_block, memo_keys, memo_digests = pool._op_keys_memo
-        if memo_block is block:
-            return memo_keys, memo_digests
-        keys = tuple(op._key for op in block.operations)
-        digests = tuple(result_digest_of(c, s, b"") for c, s in keys)
-        pool._op_keys_memo = (block, keys, digests)
-        return keys, digests
 
     def on_commit(block: Block, when: float) -> None:
         if not block.operations:
@@ -71,7 +61,9 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
         # the proposer only, so each journey gets the checkpoint once.
         if journey is not None and block.proposer == replica.id:
             journey.record_ops(block.operations, CK_EXECUTED, when)
-        keys, digests = keys_and_digests_of(block)
+        # Hub replies carry no execution results: each digest is the
+        # empty-result digest a ClientService without an application sends.
+        keys, digests = empty_replies.of(block)
         batch = ReplyBatch(
             replica=replica.id,
             block_digest=block.digest,
@@ -143,10 +135,8 @@ class OpenLoopClients:
 
         cluster.network.register(self.hub_id, self._on_message)
         cluster.network.set_unshaped(self.hub_id)
-        # Reuse the closed-loop reply plumbing.  Only voting replicas
-        # answer clients — learner commits are evidence, not replies.
-        for replica in cluster.replicas[: experiment.cluster.num_replicas]:
-            _attach_reply_sender(self, replica)
+        # Reuse the closed-loop reply plumbing.
+        _attach_reply_senders(self, cluster)
 
     def start(self) -> None:
         self._tick()
@@ -313,8 +303,7 @@ class ClosedLoopClients:
         else:
             cluster.network.register(self.hub_id, self._on_message)
             cluster.network.set_unshaped(self.hub_id)
-            for replica in cluster.replicas[: experiment.cluster.num_replicas]:
-                _attach_reply_sender(self, replica)
+            _attach_reply_senders(self, cluster)
 
     # ------------------------------------------------------------ plumbing
 

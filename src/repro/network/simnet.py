@@ -24,7 +24,9 @@ to attributes at construction time.
 Deliveries are batched per link: messages arriving on the same directed
 link at the same instant share one scheduled heap event that drains a
 list, instead of one heap push/pop each — a leader broadcast or a hub
-burst at one timestamp costs a single sift.  Each drained envelope still
+burst at one timestamp costs a single sift.  The drain is posted as a
+handle-free heap entry (:meth:`~repro.des.simulator.Simulator.post`):
+deliveries are never cancelled.  Each drained envelope still
 goes through the full per-delivery path (metrics, taps, handler) and is
 credited individually to the simulator's event counter, so accounting is
 unchanged.
@@ -201,7 +203,7 @@ class SimNetwork(Transport):
             batch = [envelope]
             state.batch = batch
             state.batch_at = arrival
-            sim.schedule(LOOPBACK_DELAY, partial(self._drain, state, batch), "loopback")
+            sim.post(arrival, partial(self._drain, state, batch))
             return
         if not state.up:
             if self._recording:
@@ -230,7 +232,8 @@ class SimNetwork(Transport):
             state.free_at = link_done
         latency = self._latency + state.extra_latency
         if self._jitter > 0.0:
-            latency += rng.uniform(0.0, self._jitter)
+            # Bit-identical to rng.uniform(0.0, jitter), minus its frame.
+            latency += self._jitter * rng.random()
         arrival = link_done + latency
         # Links are TCP-like: delivery is FIFO per (src, dst) even when
         # jitter would let a small message overtake a large one's tail.
@@ -249,7 +252,7 @@ class SimNetwork(Transport):
         batch = [envelope]
         state.batch = batch
         state.batch_at = arrival
-        sim.schedule(arrival - now, partial(self._drain, state, batch), "net")
+        sim.post(now + (arrival - now), partial(self._drain, state, batch))
 
     def add_tap(self, tap: "Callable[[Envelope], None]") -> None:
         """Observe every delivered envelope (complexity accounting)."""
@@ -262,15 +265,14 @@ class SimNetwork(Transport):
             # One heap event stood in for the whole batch; keep
             # events_processed counting deliveries individually.
             self._sim.credit_events(len(batch) - 1)
+        metrics = self._metrics
+        taps = self._taps
+        handlers = self._handlers
         for envelope in batch:
-            self._deliver(envelope)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        if self._metrics is not None:
-            self._metrics.received(envelope.dst, envelope.size)
-        if self._taps:
-            for tap in self._taps:
+            if metrics is not None:
+                metrics.received(envelope.dst, envelope.size)
+            for tap in taps:
                 tap(envelope)
-        handler = self._handlers.get(envelope.dst)
-        if handler is not None:
-            handler(envelope.src, envelope.payload)
+            handler = handlers.get(envelope.dst)
+            if handler is not None:
+                handler(envelope.src, envelope.payload)

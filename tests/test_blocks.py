@@ -19,6 +19,11 @@ def op(seq: int, weight: int = 1, client: int = 1) -> Operation:
     return Operation(client_id=client, sequence=seq, payload=b"pay", weight=weight)
 
 
+def committed(*ops: Operation) -> Block:
+    """A block carrying ``ops``, as a replica hands it to ``forget``."""
+    return make_child(genesis_block(), 1, ops, digest_of(["qc"]))
+
+
 class TestOperation:
     def test_key(self):
         assert op(5, client=2).key() == (2, 5)
@@ -135,9 +140,29 @@ class TestBatchPool:
         pool = BatchPool()
         pool.add(op(0))
         pool.add(op(1))
-        pool.forget((op(0),))
+        pool.forget(committed(op(0)))
         assert len(pool) == 1
         assert not pool.add(op(0))  # still deduplicated
+
+    def test_forget_reads_the_blocks_shared_key_set(self):
+        pool = BatchPool()
+        for sequence in range(4):
+            pool.add(op(sequence))
+        block = committed(op(1), op(3))
+        keys = block.op_keys
+        pool.forget(block)
+        pool.forget(block)  # a second replica's commit: same set, no-op
+        assert block.op_keys is keys
+        assert [o.sequence for o in pool.next_batch()] == [0, 2]
+
+    def test_forget_empty_block_changes_nothing(self):
+        pool = BatchPool(max_batch=1)
+        pool.add(op(0))
+        pool.stage()
+        epoch = pool.staged_epoch
+        pool.forget(committed())
+        assert pool.staged_epoch == epoch
+        assert [o.sequence for o in pool.take_staged()] == [0]
 
     def test_requeue(self):
         pool = BatchPool(max_batch=10)

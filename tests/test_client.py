@@ -128,6 +128,65 @@ class TestResultDigest:
             result_digest_of(1, 2, bytearray(b"r"))
 
 
+class TestEmptyResultReplies:
+    """The per-block empty-result reply digests shared by the hub's reply
+    senders and by a cluster's client services."""
+
+    @staticmethod
+    def _block(*keys, view=1):
+        from repro.consensus.block import Operation, genesis_block, make_child
+
+        ops = tuple(Operation(client_id=c, sequence=s, payload=b"p") for c, s in keys)
+        return make_child(genesis_block(), view, ops, digest_of(["qc", view]))
+
+    def test_matches_per_op_digests_in_block_order(self):
+        from repro.client.service import EmptyResultReplies
+
+        block = self._block((9, 1), (3, 4), (9, 1))
+        keys, digests = EmptyResultReplies(result_digest_of).of(block)
+        assert keys == ((9, 1), (3, 4), (9, 1))
+        assert digests == tuple(result_digest_of(c, s, b"") for c, s in keys)
+
+    def test_each_block_is_digested_once(self):
+        from repro.client.service import EmptyResultReplies
+
+        calls = Counter()
+
+        def counted(client, seq, result):
+            calls[client, seq] += 1
+            return result_digest_of(client, seq, result)
+
+        replies = EmptyResultReplies(counted)
+        first = self._block((1, 1), (2, 1), view=7)
+        second = self._block((1, 2), view=8)
+        # Four replicas commit one block, then the next.
+        for block in (first,) * 4 + (second,) * 4:
+            keys = tuple(op.key() for op in block.operations)
+            assert replies.of(block) == (
+                keys,
+                tuple(result_digest_of(c, s, b"") for c, s in keys),
+            )
+        assert calls == {(1, 1): 1, (2, 1): 1, (1, 2): 1}
+        # A replica lagging a block behind costs a recomputation, not a
+        # wrong answer.
+        assert replies.of(first)[1] == (
+            result_digest_of(1, 1, b""),
+            result_digest_of(2, 1, b""),
+        )
+
+    def test_cluster_services_share_one_memo(self):
+        from repro.client.service import attach_client_services
+        from repro.common.config import ClusterConfig, ExperimentConfig
+        from repro.harness.des_runtime import DESCluster
+
+        cluster = DESCluster(
+            ExperimentConfig(cluster=ClusterConfig.for_f(1)), crypto_mode="null"
+        )
+        services = attach_client_services(cluster, ClientConfig(mode="real"))
+        assert len(services) == 4
+        assert len({id(service._empty_replies) for service in services}) == 1
+
+
 class TestReplyCollector:
     def test_certifies_at_f_plus_one_matching(self):
         collector = ReplyCollector(f=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import CryptoError, InvalidVote
@@ -10,7 +12,13 @@ from repro.consensus.crypto_service import (
     NullCryptoService,
     ThresholdCryptoService,
 )
-from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate, genesis_qc
+from repro.consensus.qc import (
+    BlockSummary,
+    Phase,
+    QuorumCertificate,
+    genesis_qc,
+    vote_payload,
+)
 from repro.consensus.block import genesis_block
 from repro.consensus.votes import VoteCollector
 from repro.crypto.hashing import digest_of
@@ -82,6 +90,57 @@ class TestAllServices:
 
     def test_genesis_qc_always_valid(self, crypto):
         crypto.verify_qc(genesis_qc(genesis_block()))
+
+
+class TestCertificateBytes:
+    """A QC's derived bytes are computed once per object, never reused stale."""
+
+    @staticmethod
+    def _qc(crypto) -> QuorumCertificate:
+        block = summary()
+        acc = crypto.accumulator(Phase.PREPARE, 1, block)
+        for signer in range(3):
+            acc.add(signer, crypto.sign_vote(signer, Phase.PREPARE, 1, block))
+        return crypto.make_qc(Phase.PREPARE, 1, block, acc)
+
+    def test_bytes_are_computed_once_per_object(self, crypto):
+        qc = self._qc(crypto)
+        assert qc.signed_payload is qc.signed_payload
+        assert qc.digest is qc.digest
+        assert qc.verify_key is qc.verify_key
+        assert qc.verify_key == (qc.signed_payload, qc.signature)
+        assert qc.signed_payload == vote_payload(qc.phase, qc.view, qc.block)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"view": 2},
+            {"phase": Phase.COMMIT},
+            {"block": summary(height=2)},
+            {"signature": "other-signature"},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_replaced_qc_never_reuses_a_stale_value(self, crypto, change):
+        qc = self._qc(crypto)
+        stale = (qc.signed_payload, qc.digest, qc.verify_key)
+        other = dataclasses.replace(qc, **change)
+        fresh = QuorumCertificate(
+            phase=other.phase, view=other.view, block=other.block, signature=other.signature
+        )
+        assert (other.signed_payload, other.digest, other.verify_key) == (
+            fresh.signed_payload,
+            fresh.digest,
+            fresh.verify_key,
+        )
+        assert other.verify_key != stale[2]
+        if "signature" not in change:
+            assert other.signed_payload != stale[0]
+            assert other.digest != stale[1]
+        # The QC cache keys on the replaced object's own bytes.
+        crypto.verify_qc(qc)
+        assert crypto.qc_cached(qc)
+        assert not crypto.qc_cached(other)
 
 
 class TestThresholdSpecific:

@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.common.config import ClusterConfig, ExperimentConfig
-from repro.consensus.block import BatchPool, Operation
+from repro.consensus.block import BatchPool, Block, Operation, genesis_block, make_child
 from repro.consensus.crypto_service import NullCryptoService, ThresholdCryptoService
 from repro.consensus.pipeline import (
     AdaptiveBatchController,
@@ -183,6 +183,10 @@ def op(sequence: int, weight: int = 1) -> Operation:
     return Operation(client_id=1, sequence=sequence, payload=b"x" * weight)
 
 
+def committed(*ops: Operation) -> Block:
+    return make_child(genesis_block(), 1, ops, digest_of(["qc"]))
+
+
 class TestBatchPoolStaging:
     def test_stage_take_roundtrip(self):
         pool = BatchPool(max_batch=2)
@@ -214,9 +218,20 @@ class TestBatchPoolStaging:
             pool.add(op(sequence))
         staged = pool.stage()
         epoch = pool.staged_epoch
-        pool.forget((staged[1],))
+        pool.forget(committed(staged[1]))
         assert pool.staged_epoch == epoch + 1
         assert [o.sequence for o in pool.stage()] == [0, 2]
+
+    def test_forget_bumps_epoch_once_per_block(self):
+        pool = BatchPool(max_batch=3)
+        for sequence in range(4):
+            pool.add(op(sequence))
+        pool.stage()
+        epoch = pool.staged_epoch
+        pool.forget(committed(op(0), op(2), op(3)))
+        assert pool.staged_epoch == epoch + 1
+        assert [o.sequence for o in pool.take_staged()] == [1]
+        assert len(pool) == 0
 
     def test_forget_unrelated_ops_keeps_epoch(self):
         pool = BatchPool(max_batch=1)
@@ -224,7 +239,7 @@ class TestBatchPoolStaging:
         pool.add(op(1))
         pool.stage()
         epoch = pool.staged_epoch
-        pool.forget((op(1),))
+        pool.forget(committed(op(1)))
         assert pool.staged_epoch == epoch
 
 

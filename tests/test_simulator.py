@@ -279,6 +279,18 @@ class TestProcess:
         sim.run()
         assert done == [pytest.approx(6.0)]
 
+    def test_run_at_passes_args_and_rejects_the_past(self):
+        sim = Simulator()
+        process = Process(sim, "p")
+        done: list[tuple[float, str, int]] = []
+        process.run_at(2.0, lambda tag, n: done.append((sim.now, tag, n)), "x", 7)
+        sim.run()
+        assert done == [(2.0, "x", 7)]
+        with pytest.raises(SimulationError):
+            process.run_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            process.run_after(-0.5, lambda: None)
+
     def test_negative_charge_rejected(self):
         sim = Simulator()
         process = Process(sim, "p")
