@@ -15,6 +15,11 @@ A block is ``b = [pl, pview, view, height, op, justify]``:
 view-change Case V1 against a parent that may not exist yet, and acquire a
 real parent when a ``prepareQC`` ``vc`` for that parent surfaces.
 
+A block's identity is :attr:`Block.digest`, the SHA-256 of its canonical
+encoding.  It is computed by a fused writer that packs each operation
+record in one ``struct`` call, and is byte-identical to ``digest_of`` over
+the block's field list (pinned against that reference in the tests).
+
 **Shadow blocks** (Section IV-D) are two blocks proposed together sharing
 one operation payload; sharing is expressed at the message layer (the
 second proposal's wire size omits the payload) while each block object
@@ -23,14 +28,34 @@ still owns its ``operations`` tuple, so digests stay self-contained.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Callable
 
+from repro.common.encoding import encode_into
 from repro.common.errors import InvalidBlock
-from repro.crypto.hashing import Digest, digest_of, short_hex
+from repro.crypto.hashing import Digest, digest_of, hash_bytes, short_hex
 
 OPERATION_OVERHEAD = 16
 """Wire overhead per operation: client id, sequence number, length."""
+
+#: Canonical-encoding tags (:mod:`repro.common.encoding`) of a list, an
+#: int64 and a byte string.
+_T_LIST, _T_INT, _T_BYTES = b"lib"
+
+#: A block is encoded as a list of seven fields; this is its list header.
+_BLOCK_HEADER = b"l\x00\x00\x00\x07"
+_list_header = struct.Struct(">BI").pack
+
+
+@lru_cache(maxsize=1024)
+def _op_record(payload_len: int) -> Callable[..., bytes]:
+    """Writer of one canonical ``[client_id, sequence, payload, weight]``
+    record whose payload is ``payload_len`` bytes: the list header, three
+    tagged int64s and the tagged payload in one ``struct`` call.  Cached
+    per length: a workload's payloads come in a handful of sizes."""
+    return struct.Struct(f">BIBqBqBI{payload_len}sBq").pack
 
 
 class Operation:
@@ -126,13 +151,58 @@ class Block:
 
     @cached_property
     def digest(self) -> Digest:
+        """SHA-256 of ``encode([pl, pview, view, height, ops, justify,
+        proposer])``, each op encoded as ``[client_id, sequence, payload,
+        weight]``.
+
+        Byte-identical to :func:`~repro.crypto.hashing.digest_of` over
+        that list, but each operation record is one precompiled ``struct``
+        pack into a single buffer instead of a walk of the generic
+        encoder: a paper-scale block holds thousands of operations.  If a
+        record cannot be packed exactly (a ``bool`` or non-``int`` field,
+        a non-``bytes`` payload, an int outside int64), the whole block
+        takes the canonical encoder, which encodes it or raises
+        ``EncodingError``.
+        """
+        ops = self.operations
+        buf = bytearray(_BLOCK_HEADER)
+        for value in (self.parent_link, self.parent_view, self.view, self.height):
+            encode_into(value, buf)
+        buf += _list_header(_T_LIST, len(ops))
+        length = -1
+        for op in ops:
+            client_id = op.client_id
+            sequence = op.sequence
+            payload = op.payload
+            weight = op.weight
+            if not (
+                type(client_id) is int
+                and type(sequence) is int
+                and type(weight) is int
+                and type(payload) is bytes
+            ):
+                break
+            if len(payload) != length:
+                length = len(payload)
+                record = _op_record(length)
+            try:
+                buf += record(
+                    _T_LIST, 4, _T_INT, client_id, _T_INT, sequence,
+                    _T_BYTES, length, payload, _T_INT, weight,
+                )
+            except struct.error:  # an int outside int64
+                break
+        else:
+            encode_into(self.justify_digest, buf)
+            encode_into(self.proposer, buf)
+            return hash_bytes(buf)
         return digest_of(
             [
                 self.parent_link,
                 self.parent_view,
                 self.view,
                 self.height,
-                [[op.client_id, op.sequence, op.payload, op.weight] for op in self.operations],
+                [[op.client_id, op.sequence, op.payload, op.weight] for op in ops],
                 self.justify_digest,
                 self.proposer,
             ]

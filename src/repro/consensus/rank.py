@@ -29,8 +29,6 @@ from enum import Enum
 
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
 
-_RANKED_HIGH = frozenset({Phase.PREPARE, Phase.COMMIT})
-
 
 class Rank(Enum):
     """Outcome of a rank comparison."""
@@ -49,9 +47,14 @@ def qc_rank_higher(qc1: QuorumCertificate, qc2: QuorumCertificate) -> bool:
     """Fig. 4: is ``rank(qc1) > rank(qc2)``?"""
     if qc1.view != qc2.view:
         return qc1.view > qc2.view
-    if qc1.phase in _RANKED_HIGH and qc2.phase == Phase.PRE_PREPARE:
+    # Identity tests: ``Enum.__hash__`` (set membership) is Python-level.
+    phase1 = qc1.phase
+    if phase1 is not Phase.PREPARE and phase1 is not Phase.COMMIT:
+        return False
+    phase2 = qc2.phase
+    if phase2 is Phase.PRE_PREPARE:
         return True
-    if qc1.phase in _RANKED_HIGH and qc2.phase in _RANKED_HIGH:
+    if phase2 is Phase.PREPARE or phase2 is Phase.COMMIT:
         return qc1.height > qc2.height
     return False
 

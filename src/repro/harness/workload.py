@@ -170,11 +170,14 @@ class OpenLoopClients:
     def _on_message(self, src: int, payload: Any) -> None:
         if not isinstance(payload, ReplyBatch):
             return
+        submit_time = self._submit_time
+        if submit_time.keys().isdisjoint(payload.op_keys):
+            # A late batch: f + 1 earlier replies acknowledged every op.
+            return
         now = self.cluster.sim.now
         replica_bit = 1 << payload.replica
         need = self.f + 1
         weight = self.token_weight
-        submit_time = self._submit_time
         acks = self._acks
         for key in payload.op_keys:
             submitted = submit_time.get(key)
@@ -358,10 +361,7 @@ class ClosedLoopClients:
     def _new_op(self, client_id: int) -> Operation:
         seq = self._next_seq.get(client_id, 0)
         self._next_seq[client_id] = seq + 1
-        op = Operation(
-            client_id=client_id, sequence=seq, payload=self._payload,
-            weight=self.token_weight,
-        )
+        op = Operation(client_id, seq, self._payload, self.token_weight)
         now = self.cluster.sim.now
         self._submit_time[op._key] = now
         if client_id in self._sampled_ids:
@@ -389,11 +389,14 @@ class ClosedLoopClients:
     def _on_message(self, src: int, payload: Any) -> None:
         if not isinstance(payload, ReplyBatch):
             return
+        submit_time = self._submit_time
+        if submit_time.keys().isdisjoint(payload.op_keys):
+            # A late batch: f + 1 earlier replies acknowledged every op.
+            return
         now = self.cluster.sim.now
         replica_bit = 1 << payload.replica
         need = self.f + 1
         weight = self.token_weight
-        submit_time = self._submit_time
         acks = self._acks
         # Every ack in the batch shares ``now``: test the measurement
         # window once and append the latency samples directly.

@@ -10,12 +10,9 @@ complexity accounting for Table I.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable
 
 from repro.obs.log import get_logger
-
-_envelope_ids = itertools.count()
 
 HEADER_SIZE = 48
 """Fixed per-message overhead: type tag, view, sender, lengths, MAC."""
@@ -26,7 +23,7 @@ log = get_logger("repro.network.sizer")
 class Envelope:
     """One message in flight between two endpoints."""
 
-    __slots__ = ("src", "dst", "payload", "size", "sent_at", "msg_id")
+    __slots__ = ("src", "dst", "payload", "size", "sent_at")
 
     def __init__(
         self,
@@ -35,14 +32,12 @@ class Envelope:
         payload: Any,
         size: int,
         sent_at: float = 0.0,
-        msg_id: int | None = None,
     ) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
         self.size = size
         self.sent_at = sent_at
-        self.msg_id = next(_envelope_ids) if msg_id is None else msg_id
 
     def __repr__(self) -> str:
         kind = type(self.payload).__name__

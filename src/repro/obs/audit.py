@@ -351,8 +351,14 @@ class OnlineAuditor:
         subsystem's :class:`~repro.adversary.checker.SafetyChecker`.
         """
         executed = self._executed.setdefault(replica, set())
+        keys = block.op_keys
+        if len(keys) == len(block.operations) and executed.isdisjoint(keys):
+            # Every key is new: nothing to flag, record the whole batch
+            # with one C-level set update (the block's shared key set).
+            executed |= keys
+            return
         for op in block.operations:
-            key = (op.client_id, op.sequence)
+            key = op._key
             if key in executed:
                 self._flag(
                     "duplicate-execution",
